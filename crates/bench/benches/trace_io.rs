@@ -1,20 +1,24 @@
 //! Trace codec and streaming-replay throughput.
 //!
 //! The streaming pipeline only pays off if decode runs far ahead of the
-//! simulator (~1 Mref/s): these rows pin encode, chunk decode (both store
-//! backends), bulk refill vs per-record iteration, and end-to-end replay.
+//! simulator: these rows pin encode, chunk decode (every store backend),
+//! bulk refill vs per-record iteration, 8-way interleave sharding with and
+//! without shared decodes, and end-to-end replay.
 
 use bench::micro::Group;
-use mem_trace::codec::DEFAULT_CHUNK_TARGET;
 use mem_trace::stream::{write_v2_file, StreamTrace};
 use mem_trace::{ShardSpec, TraceFeed, VecTrace};
 use sim::{CoreFeed, Mechanism, SimConfig};
 use workloads::{Benchmark, Scale};
 
 const RECORDS: usize = 100_000;
+/// Records per chunk: small enough that the file spans many more chunks
+/// than an open trace keeps decoded for its cursors, so every pass over it
+/// decodes rather than reusing the previous pass's chunks.
+const CHUNK: u32 = 1 << 13;
 
 fn encode(trace: &VecTrace) -> Vec<u8> {
-    mem_trace::codec::encode_v2_chunked(trace, DEFAULT_CHUNK_TARGET)
+    mem_trace::codec::encode_v2_chunked(trace, CHUNK)
 }
 
 fn main() {
@@ -38,7 +42,7 @@ fn main() {
 
     // File-backed backends: mmap pages vs positioned reads.
     let path = std::env::temp_dir().join(format!("redhip-trace-io-{}.trace", std::process::id()));
-    write_v2_file(&path, records.iter(), DEFAULT_CHUNK_TARGET).expect("write");
+    write_v2_file(&path, records.iter(), CHUNK).expect("write");
     let mapped = StreamTrace::open(&path).expect("open");
     g.bench(&format!("decode_{}", mapped.backend()), || {
         let mut acc = 0u64;
@@ -72,8 +76,9 @@ fn main() {
         total
     });
 
-    // Interleave sharding decodes every chunk once per shard; the row
-    // bounds the cost of the 8-way replay split.
+    // Draining the 8 interleave shards one after another is the re-decode
+    // worst case: a shard starts only after the shared chunk set has moved
+    // past the chunks it needs, so every shard decodes every chunk itself.
     g.bench("shard_interleave8", || {
         let mut acc = 0u64;
         for i in 0..8 {
@@ -85,6 +90,32 @@ fn main() {
             }
         }
         acc
+    });
+
+    // The 8 shards refilled in turn, 128 records each, the way the
+    // simulator pulls them: each chunk is decoded once and shared.
+    g.bench("shard_interleave8_lockstep", || {
+        let mut shards: Vec<StreamTrace> = (0..8)
+            .map(|i| {
+                mem.shard(ShardSpec::Interleave {
+                    shards: 8,
+                    index: i,
+                })
+            })
+            .collect();
+        let mut buf = Vec::with_capacity(128);
+        let mut acc = 0u64;
+        loop {
+            let mut got = 0;
+            for s in shards.iter_mut() {
+                buf.clear();
+                got += s.refill(&mut buf, 128);
+                acc ^= buf.iter().fold(0, |a, r| a ^ r.addr);
+            }
+            if got == 0 {
+                break acc;
+            }
+        }
     });
 
     // End-to-end: stream the file through the simulator under ReDHiP.

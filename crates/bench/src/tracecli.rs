@@ -333,8 +333,10 @@ fn replay(args: Vec<String>) {
     }
     let input = input.unwrap_or_else(|| usage("--in is required"));
 
-    // --buffered keeps resident memory at one raw + one decoded chunk per
-    // core via positioned reads, even for files far larger than RAM.
+    // --buffered reads chunks with positioned reads instead of a mapping:
+    // resident memory stays at one raw chunk per file plus the decoded
+    // chunks (one per core and a small shared set), even for files far
+    // larger than RAM.
     let mut workload = if buffered {
         TraceFileWorkload::open_buffered(&input, mode)
     } else {

@@ -1,11 +1,25 @@
 //! Chunk-at-a-time replay of v2 trace files with bounded memory.
 //!
 //! [`StreamTrace`] opens a v2 file, validates its header/index/tail once,
-//! and then serves records by decoding one chunk at a time into a
-//! reusable scratch buffer. Steady-state replay therefore performs **zero
-//! per-record heap allocation** and keeps at most one decoded chunk
-//! (`chunk_target` records, ~1.3 MB at the default target) resident per
-//! cursor, regardless of trace size.
+//! and then serves records by decoding one chunk at a time. Steady-state
+//! replay performs **zero per-record and zero per-chunk heap
+//! allocation**: decoded chunks live in buffers that are recycled once no
+//! cursor holds them.
+//!
+//! Memory model. Every cursor over one open file (clones and
+//! [`StreamTrace::shard`]s alike) shares one small set of recently decoded
+//! chunks, so a chunk is decoded once for all cursors that reach it while
+//! it is in the set — an 8-way interleave replay, whose shards advance
+//! through the file nearly in lockstep, decodes each chunk once rather
+//! than once per shard. A cursor holds a reference to the one chunk it is
+//! reading. Resident decoded memory is therefore at most one chunk
+//! (`chunk_target` records, ~1.5 MB at the default target) per cursor,
+//! plus a fixed number of shared chunks (the recent set and one spare
+//! buffer), regardless of trace size. A cursor that falls behind its
+//! siblings, or cursors on different threads reading different parts of
+//! the file, decode a chunk again when it has left the set. The set is
+//! locked only when a cursor crosses into another chunk, and never while
+//! a chunk decodes.
 //!
 //! The bytes come from one of three backends behind the same abstraction:
 //!
@@ -17,8 +31,8 @@
 //!   and as the non-Unix fallback.
 //!
 //! Cloning a `StreamTrace` (or calling [`StreamTrace::shard`]) creates an
-//! independent cursor over the *same* backend — one mapping shared by
-//! every simulated core.
+//! independent cursor over the *same* backend — one mapping and one set of
+//! decoded chunks shared by every simulated core.
 //!
 //! Mid-stream corruption or I/O failure panics with context: the layout
 //! is fully validated at open, so a payload that fails to decode later
@@ -32,10 +46,21 @@ use crate::codec::{
 use crate::record::TraceRecord;
 use crate::shard::ShardSpec;
 use crate::{TraceFeed, VecTrace};
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Read};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// How many recently decoded chunks one open trace keeps for its cursors.
+/// Interleave shards cross chunk boundaries within a few refills of each
+/// other, so the chunk a shard enters was usually just decoded by a
+/// sibling; two slots cover the one being entered and the one being left.
+const SHARED_CHUNKS: usize = 2;
+
+/// One decoded chunk, shared by the cursors reading it.
+type Chunk = Arc<Vec<TraceRecord>>;
 
 /// Minimal raw mmap bindings. glibc is already linked through `std`, so
 /// declaring the two symbols we need avoids a dependency on the `libc`
@@ -181,8 +206,9 @@ impl Store {
     }
 }
 
-/// The shared, immutable side of an open trace: backend + validated
-/// layout. Every cursor ([`StreamTrace`]) holds an `Arc` to one of these.
+/// The shared side of an open trace: backend, validated layout and the
+/// decoded-chunk set. Every cursor ([`StreamTrace`]) holds an `Arc` to one
+/// of these.
 #[derive(Debug)]
 struct TraceInner {
     store: Store,
@@ -191,6 +217,48 @@ struct TraceInner {
     /// equal to `total_records`; binary-searched to seek.
     cum: Vec<u64>,
     path: Option<PathBuf>,
+    chunks: Mutex<SharedChunks>,
+    /// Chunk decodes performed for this trace, by all its cursors.
+    decodes: AtomicU64,
+}
+
+impl TraceInner {
+    fn chunks(&self) -> std::sync::MutexGuard<'_, SharedChunks> {
+        // Critical sections only move `Arc`s and buffers between fields and
+        // each step leaves the set valid, so a guard poisoned by a panic
+        // elsewhere in its holder's thread is still safe to use.
+        self.chunks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Recently decoded chunks and the buffers to decode the next ones into.
+#[derive(Debug, Default)]
+struct SharedChunks {
+    /// `(chunk index, records)`, oldest first; at most [`SHARED_CHUNKS`].
+    recent: VecDeque<(usize, Chunk)>,
+    /// A buffer nothing else references, kept for the next decode.
+    spare: Option<Chunk>,
+    /// Raw-byte scratch for the positioned-read backend.
+    raw: Vec<u8>,
+}
+
+impl SharedChunks {
+    /// Drops one reference to `chunk`, keeping its buffer as the spare
+    /// when that was the last one (and it ever held records).
+    fn release(&mut self, mut chunk: Chunk) {
+        if self.spare.is_none() && chunk.capacity() > 0 && Arc::get_mut(&mut chunk).is_some() {
+            self.spare = Some(chunk);
+        }
+    }
+
+    /// Makes room for one more chunk in the recent set by releasing its
+    /// oldest.
+    fn make_room(&mut self) {
+        if self.recent.len() == SHARED_CHUNKS {
+            let (_, oldest) = self.recent.pop_front().expect("set is full");
+            self.release(oldest);
+        }
+    }
 }
 
 /// Summary of an open trace file, for `trace info` and logging.
@@ -225,19 +293,18 @@ impl TraceInfo {
 }
 
 /// A cursor over an open v2 trace file: implements [`Iterator`] (one
-/// record at a time) and [`TraceFeed`] (bulk refills that `memcpy` out of
-/// the decoded chunk). See the module docs for the memory model.
+/// record at a time) and [`TraceFeed`] (bulk refills that copy out of the
+/// decoded chunk). See the module docs for the memory model.
 #[derive(Debug)]
 pub struct StreamTrace {
     inner: Arc<TraceInner>,
-    /// Index of the currently decoded chunk; `usize::MAX` = none yet.
-    chunk: usize,
-    /// Decoded records of `chunk`, reused across refills.
-    decoded: Vec<TraceRecord>,
-    /// Raw-byte scratch for the positioned-read backend, reused likewise.
-    raw: Vec<u8>,
+    /// Decoded records of the chunk the cursor is in (empty before the
+    /// first record).
+    decoded: Chunk,
     /// Global index of `decoded[0]`.
     base: u64,
+    /// Global index one past `decoded`'s last record.
+    limit: u64,
     /// Shard window end (`next_global` walks `start, start+stride, … < end`).
     end: u64,
     stride: u64,
@@ -304,6 +371,8 @@ impl StreamTrace {
             layout,
             cum,
             path,
+            chunks: Mutex::default(),
+            decodes: AtomicU64::new(0),
         });
         Ok(Self::cursor(inner, ShardSpec::All))
     }
@@ -313,10 +382,9 @@ impl StreamTrace {
         let (start, end, stride) = spec.window(total);
         Self {
             inner,
-            chunk: usize::MAX,
-            decoded: Vec::new(),
-            raw: Vec::new(),
+            decoded: Chunk::default(),
             base: 0,
+            limit: 0,
             end,
             stride,
             next_global: start,
@@ -325,8 +393,8 @@ impl StreamTrace {
     }
 
     /// A fresh cursor over the same open file restricted to `spec`'s
-    /// window. The backend (mapping or file handle) is shared; scratch
-    /// buffers are per-cursor.
+    /// window. The backend (mapping or file handle) and the decoded-chunk
+    /// set are shared.
     pub fn shard(&self, spec: ShardSpec) -> StreamTrace {
         Self::cursor(Arc::clone(&self.inner), spec)
     }
@@ -372,46 +440,82 @@ impl StreamTrace {
         self.inner.path.as_deref()
     }
 
-    /// Records currently resident in this cursor's decoded scratch — the
+    /// Capacity, in records, of the decoded chunk this cursor holds — the
     /// quantity the bounded-memory guarantee is about: it never exceeds
     /// the largest chunk in the file.
     pub fn resident_records(&self) -> usize {
         self.decoded.capacity()
     }
 
-    /// Decodes the chunk containing global record `g` into the scratch
-    /// buffer. `g` must be `< total_records`.
+    /// Chunk decodes performed so far by all cursors over this open file
+    /// (this one, its clones and its shards). Records decoded divided by
+    /// records consumed is the decode amplification of a replay.
+    pub fn chunks_decoded(&self) -> u64 {
+        self.inner.decodes.load(Ordering::Relaxed)
+    }
+
+    /// Makes the chunk containing global record `g` this cursor's current
+    /// chunk, decoding it only when it is not in the shared set. Returns
+    /// whether it decoded. `g` must be `< total_records`.
     #[cold]
-    fn load_chunk_containing(&mut self, g: u64) {
+    fn load_chunk_containing(&mut self, g: u64) -> bool {
         let inner = &*self.inner;
         // Last chunk whose start is <= g; duplicate starts (empty chunks)
         // resolve to the last, i.e. the one actually containing g.
         let n = inner.layout.chunks.len();
         let idx = inner.cum[..n].partition_point(|&s| s <= g) - 1;
+        self.base = inner.cum[idx];
+        self.limit = inner.cum[idx + 1];
+
+        let mut shared = inner.chunks();
+        if let Some((_, hit)) = shared.recent.iter().find(|(i, _)| *i == idx) {
+            let old = std::mem::replace(&mut self.decoded, Arc::clone(hit));
+            shared.release(old);
+            return false;
+        }
+        // Evict first, so the oldest chunk's buffer can take the decode.
+        shared.make_room();
+        let mut chunk = shared.spare.take().unwrap_or_default();
+        let mut raw = std::mem::take(&mut shared.raw);
+        drop(shared);
+
+        // Decode outside the lock; `chunk` is unshared (fresh or spare).
         let meta: &ChunkMeta = &inner.layout.chunks[idx];
+        let records = Arc::get_mut(&mut chunk).expect("spare chunks are unshared");
+        records.clear();
+        records.reserve_exact(meta.count as usize);
         let bytes = inner
             .store
-            .read(meta.offset, meta.bytes as usize, &mut self.raw)
+            .read(meta.offset, meta.bytes as usize, &mut raw)
             .unwrap_or_else(|e| panic!("trace chunk {idx} read failed: {e}"));
-        self.decoded.clear();
-        codec::decode_chunk_bytes(bytes, idx as u64, meta, &mut self.decoded)
+        codec::decode_chunk_bytes(bytes, idx as u64, meta, records)
             .unwrap_or_else(|e| panic!("trace chunk {idx} corrupt after validation: {e}"));
+        debug_assert_eq!(records.len() as u64, self.limit - self.base);
+        inner.decodes.fetch_add(1, Ordering::Relaxed);
         metrics::TRACE_CHUNKS_DECODED.incr();
-        self.chunk = idx;
-        self.base = inner.cum[idx];
-        debug_assert!(g >= self.base && g < self.base + self.decoded.len() as u64);
+
+        let mut shared = inner.chunks();
+        if raw.capacity() > shared.raw.capacity() {
+            shared.raw = raw;
+        }
+        // A cursor on another thread may have filled the set meanwhile.
+        shared.make_room();
+        shared.recent.push_back((idx, Arc::clone(&chunk)));
+        let old = std::mem::replace(&mut self.decoded, chunk);
+        shared.release(old);
+        true
     }
 
-    /// True when the chunk holding `g` is already decoded.
+    /// True when the chunk holding `g` is already this cursor's chunk.
     #[inline]
     fn resident(&self, g: u64) -> bool {
-        self.chunk != usize::MAX && g >= self.base && g < self.base + self.decoded.len() as u64
+        g >= self.base && g < self.limit
     }
 }
 
 impl Clone for StreamTrace {
-    /// A rewound cursor over the same file and shard window (scratch is
-    /// not cloned; it refills on first use).
+    /// A rewound cursor over the same file and shard window; it picks up
+    /// its first chunk from the shared set on first use.
     fn clone(&self) -> Self {
         Self::cursor(Arc::clone(&self.inner), self.spec)
     }
@@ -443,9 +547,10 @@ impl Iterator for StreamTrace {
 impl ExactSizeIterator for StreamTrace {}
 
 impl TraceFeed for StreamTrace {
-    /// Bulk refill: for stride-1 windows this is an `extend_from_slice`
-    /// straight out of the decoded chunk — one bounds check and a
-    /// `memcpy` per chunk crossing instead of a virtual call per record.
+    /// Bulk refill: copies, per chunk crossing, the whole run of this
+    /// window's records that lies in the current chunk — an
+    /// `extend_from_slice` for stride-1 windows, one strided copy loop
+    /// otherwise — instead of a virtual call per record.
     fn refill(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
         let mut pushed = 0usize;
         while pushed < max {
@@ -453,25 +558,21 @@ impl TraceFeed for StreamTrace {
             if g >= self.end {
                 break;
             }
-            if !self.resident(g) {
-                // The consumer outran the decoded window: this refill
+            if !self.resident(g) && self.load_chunk_containing(g) {
+                // The consumer outran every decoded chunk: this refill
                 // stalls on a chunk read + decode.
                 metrics::TRACE_REFILL_STALLS.incr();
-                self.load_chunk_containing(g);
             }
-            let lo = (g - self.base) as usize;
+            let run = &self.decoded[(g - self.base) as usize..];
+            let in_chunk = (self.end.min(self.limit) - g).div_ceil(self.stride);
+            let take = (max - pushed).min(in_chunk as usize);
             if self.stride == 1 {
-                let in_chunk = self.decoded.len() - lo;
-                let want = (max - pushed).min((self.end - g) as usize);
-                let take = in_chunk.min(want);
-                out.extend_from_slice(&self.decoded[lo..lo + take]);
-                pushed += take;
-                self.next_global += take as u64;
+                out.extend_from_slice(&run[..take]);
             } else {
-                out.push(self.decoded[lo]);
-                pushed += 1;
-                self.next_global += self.stride;
+                out.extend(run.iter().step_by(self.stride as usize).take(take).copied());
             }
+            pushed += take;
+            self.next_global += take as u64 * self.stride;
         }
         pushed
     }
@@ -650,6 +751,37 @@ mod tests {
             rebuilt.push(parts[i % shards as usize][i / shards as usize]);
         }
         assert_eq!(rebuilt, t.records());
+    }
+
+    #[test]
+    fn cursors_on_many_threads_read_their_own_records() {
+        let t = random_trace(11, 20_000);
+        let s = StreamTrace::from_bytes(encode_v2_chunked(&t, 256)).unwrap();
+        let specs: Vec<ShardSpec> = (0..3)
+            .map(|index| ShardSpec::Interleave { shards: 3, index })
+            .chain((0..3).map(|index| ShardSpec::Range { shards: 3, index }))
+            .chain([ShardSpec::All])
+            .collect();
+        let want: Vec<Vec<TraceRecord>> = specs.iter().map(|&p| s.shard(p).collect()).collect();
+        // All cursors start together, so their chunk crossings contend.
+        let start = std::sync::Barrier::new(specs.len());
+        let got: Vec<Vec<TraceRecord>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = specs
+                .iter()
+                .map(|&p| {
+                    let mut cursor = s.shard(p);
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut out = Vec::new();
+                        while cursor.refill(&mut out, 97) > 0 {}
+                        out
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(got, want);
     }
 
     #[test]

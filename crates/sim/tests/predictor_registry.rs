@@ -110,12 +110,18 @@ fn distinct_parameterizations_print_distinct_specs() {
 
 // ---- PredictorImpl conformance -------------------------------------------
 
+/// Blocks the LLC model in [`replay`] holds before a fill must evict.
+const MODEL_LLC_BLOCKS: usize = 256;
+
 /// Replays a deterministic access history into `p`: probes, training
 /// outcomes, LLC fill/evict events, and (for L1-observing predictors)
 /// L1-hit memo traffic. Two predictors fed the same seed see the exact
-/// same history.
+/// same history. Fills and evictions follow a small model of the LLC's
+/// resident set, so every eviction matches an earlier fill of the same
+/// block, as it does in the simulator.
 fn replay(p: &mut dyn PredictorImpl, seed: u64, n: usize) {
     let mut st = seed;
+    let mut resident: Vec<u64> = Vec::with_capacity(MODEL_LLC_BLOCKS);
     for _ in 0..n {
         let block = splitmix(&mut st) % (1 << 18);
         let core = (splitmix(&mut st) % 2) as usize;
@@ -129,13 +135,23 @@ fn replay(p: &mut dyn PredictorImpl, seed: u64, n: usize) {
             k => Some((k - 1) as u8),
         };
         p.train(core, block, WalkOutcome { hit_level });
-        if splitmix(&mut st).is_multiple_of(3) {
+        if splitmix(&mut st).is_multiple_of(3) && !resident.contains(&block) {
+            if resident.len() == MODEL_LLC_BLOCKS {
+                evict_random(p, &mut st, &mut resident);
+            }
             p.on_llc_fill(block);
+            resident.push(block);
         }
-        if splitmix(&mut st).is_multiple_of(7) {
-            p.on_llc_evict(block);
+        if splitmix(&mut st).is_multiple_of(7) && !resident.is_empty() {
+            evict_random(p, &mut st, &mut resident);
         }
     }
+}
+
+/// Evicts a random block of the modelled resident set.
+fn evict_random(p: &mut dyn PredictorImpl, st: &mut u64, resident: &mut Vec<u64>) {
+    let victim = (splitmix(st) % resident.len() as u64) as usize;
+    p.on_llc_evict(resident.swap_remove(victim));
 }
 
 /// Observable fingerprint of a predictor's state: steers (and memo

@@ -5,11 +5,14 @@
 //! `SimStats` to simulating the original generators in process — for
 //! every mechanism — while holding only a bounded window of the file
 //! resident. Sharding must be a partition: re-merging the interleave
-//! shards reconstructs the original record sequence exactly.
+//! shards reconstructs the original record sequence exactly. The shards
+//! of one open file share their decoded chunks, so an interleave replay
+//! decodes each chunk once, and no order of refills across shards can
+//! change what a shard returns.
 
 use mem_trace::codec::ChunkWriter;
 use mem_trace::stream::{write_v2_file, StreamTrace};
-use mem_trace::{ShardSpec, TraceRecord};
+use mem_trace::{Rng64, ShardSpec, TraceFeed, TraceRecord};
 use minijson::ToJson;
 use sim::{run_feeds, run_traces, CoreFeed, CoreTrace, Mechanism, SimConfig};
 use workloads::{Benchmark, FileMode, Scale, TraceFileWorkload};
@@ -49,6 +52,11 @@ fn replay_matches_synthesis_for_every_mechanism() {
     let cores = config(Mechanism::Base).platform.cores;
     record_interleaved(&path, Benchmark::Mcf, cores, 1 << 12);
     let workload = TraceFileWorkload::open(&path, FileMode::Interleave).unwrap();
+    let chunks = workload.info().chunks;
+    assert!(
+        chunks > 8,
+        "{chunks} chunks are too few to exercise sharing"
+    );
 
     for mechanism in [
         Mechanism::Base,
@@ -63,17 +71,104 @@ fn replay_matches_synthesis_for_every_mechanism() {
             .collect();
         let synth = run_traces(&cfg, traces);
 
+        let decoded_before = workload.feed(0, cores).chunks_decoded();
         let feeds: Vec<CoreFeed> = (0..cores)
             .map(|c| Box::new(workload.feed(c, cores)) as CoreFeed)
             .collect();
         let replay = run_feeds(&cfg, feeds);
 
+        // The shards share their decoded chunks: each is decoded once.
+        assert_eq!(
+            workload.feed(0, cores).chunks_decoded() - decoded_before,
+            chunks,
+            "{}: {cores} interleave shards did not share their decodes",
+            mechanism.name()
+        );
         assert_eq!(
             synth.to_json().pretty(),
             replay.to_json().pretty(),
             "{}: replay diverged from in-process simulation",
             mechanism.name()
         );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Pulls every shard of `base` to exhaustion through `refill` calls of
+/// random sizes, in a seeded random shard order. With `drain_first`,
+/// shard 0 is drained completely before any other shard starts: the
+/// shared chunks it leaves behind are of no use to the others.
+fn refill_in_random_order(
+    base: &StreamTrace,
+    shards: u32,
+    seed: u64,
+    drain_first: bool,
+) -> Vec<Vec<TraceRecord>> {
+    let mut rng = Rng64::seed_from_u64(seed);
+    let mut cursors: Vec<StreamTrace> = (0..shards)
+        .map(|index| base.shard(ShardSpec::Interleave { shards, index }))
+        .collect();
+    let mut out = vec![Vec::new(); shards as usize];
+    if drain_first {
+        while cursors[0].refill(&mut out[0], 1 + rng.gen_index(300)) > 0 {}
+    }
+    let mut live: Vec<usize> = (0..shards as usize).collect();
+    while !live.is_empty() {
+        let pick = rng.gen_index(live.len());
+        let k = live[pick];
+        if cursors[k].refill(&mut out[k], 1 + rng.gen_index(300)) == 0 {
+            live.swap_remove(pick);
+        }
+    }
+    out
+}
+
+#[test]
+fn random_refill_interleavings_match_per_shard_collect() {
+    let path = temp_path("orders");
+    let original: Vec<TraceRecord> = Benchmark::Soplex
+        .trace(0, Scale::Smoke)
+        .take(40_000)
+        .collect();
+    let chunk = 1 << 11;
+    write_v2_file(&path, original.iter().copied(), chunk).unwrap();
+    let chunks = original.len().div_ceil(chunk as usize) as u64;
+
+    let backends = [
+        StreamTrace::open(&path).unwrap(),
+        StreamTrace::open_buffered(&path).unwrap(),
+        StreamTrace::from_bytes(std::fs::read(&path).unwrap()).unwrap(),
+    ];
+    let names: Vec<&str> = backends.iter().map(StreamTrace::backend).collect();
+    assert_eq!(names, ["mmap", "pread", "mem"]);
+
+    for base in &backends {
+        for shards in [2u32, 3, 8] {
+            let want: Vec<Vec<TraceRecord>> = (0..shards)
+                .map(|index| {
+                    base.shard(ShardSpec::Interleave { shards, index })
+                        .collect()
+                })
+                .collect();
+            for seed in 0..6u64 {
+                let drain_first = seed == 0;
+                let before = base.chunks_decoded();
+                let got = refill_in_random_order(base, shards, seed, drain_first);
+                assert!(
+                    got == want,
+                    "{} backend, {shards} shards, seed {seed}: refills diverged from collect()",
+                    base.backend()
+                );
+                // Sharing may save decodes but never adds any: at worst
+                // every shard decodes every chunk itself.
+                let decoded = base.chunks_decoded() - before;
+                assert!(
+                    decoded <= u64::from(shards) * chunks,
+                    "{} backend, {shards} shards, seed {seed}: {decoded} decodes of {chunks} chunks",
+                    base.backend()
+                );
+            }
+        }
     }
     let _ = std::fs::remove_file(&path);
 }
