@@ -2,7 +2,8 @@
 //! number that determines how long the figure harness takes. Also measures
 //! the observer overhead: `NullObserver` (the default path, expected to be
 //! free) against an attached `WindowedCollector` and a full telemetry
-//! `Tee` (collector + silent heartbeat).
+//! `Tee` (collector + silent heartbeat), and the metrics registry's
+//! overhead (disabled vs enabled).
 
 use bench::micro::Group;
 use energy_model::presets::demo_scale;
@@ -38,7 +39,7 @@ fn mechanisms() {
 
 /// Observer overhead on the ReDHiP configuration: explicit `NullObserver`
 /// (must match the plain `run_traces` row above), a windowed collector,
-/// and the full CLI telemetry stack.
+/// the full CLI telemetry stack, and the metrics registry off and on.
 fn observers() {
     let g = Group::new("sim_observer", (REFS * 8) as u64);
     let mut cfg = SimConfig::new(demo_scale(), Mechanism::Redhip);
@@ -59,24 +60,12 @@ fn observers() {
         );
         run_traces_with(&cfg, t, obs)
     });
-    // The parallel engine's commit-log replay path: observer events are
-    // buffered per quantum and replayed in sequential weave order, so the
-    // collector sees the same stream as the rows above.
-    let par4 = sim::IntraOptions::with_jobs(4);
-    g.bench_with_setup("redhip_par4_replay_collector", traces, |t| {
-        sim::run_traces_par_with(&cfg, t, &par4, WindowedCollector::new(1_000, levels))
-    });
-    // Registry overhead pair on the instrumented parallel path: disabled
-    // must match the row above within noise (every record site is one
-    // relaxed load and a branch).
+    // Registry overhead pair: disabled must match the plain ReDHiP row
+    // within noise (every record site is one relaxed load and a branch).
     metrics::disable();
-    g.bench_with_setup("redhip_par4_registry_disabled", traces, |t| {
-        sim::run_traces_par(&cfg, t, &par4)
-    });
+    g.bench_with_setup("redhip_registry_disabled", traces, |t| run_traces(&cfg, t));
     metrics::enable();
-    g.bench_with_setup("redhip_par4_registry_enabled", traces, |t| {
-        sim::run_traces_par(&cfg, t, &par4)
-    });
+    g.bench_with_setup("redhip_registry_enabled", traces, |t| run_traces(&cfg, t));
     metrics::disable();
 }
 

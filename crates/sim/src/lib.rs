@@ -25,13 +25,16 @@
 //! Energy events come from the per-access [`cache_sim::Traversal`] log and
 //! are priced by `energy-model`.
 //!
-//! Entry points: [`config::SimConfig`] → [`run::run_traces`] →
-//! [`run::RunResult`]; [`metrics`] computes the paper's derived quantities
-//! (speedup, normalized dynamic energy, the performance-energy metric).
+//! Entry points: [`config::SimConfig`] → [`run::run_traces`] (in-process
+//! generators) or [`run::run_feeds`] (chunked feeds such as trace files),
+//! with `_with` variants that report to a [`SimObserver`] →
+//! [`run::RunResult`]. All of them drive the one sequential scheduler in
+//! [`run`]; parallelism lives a level up, across sweep cells.
+//! [`metrics`] computes the paper's derived quantities (speedup,
+//! normalized dynamic energy, the performance-energy metric).
 
 pub mod config;
 pub mod metrics;
-pub mod parallel;
 pub mod predictor;
 pub mod report;
 pub mod run;
@@ -49,10 +52,6 @@ pub use predictor::{
 // `crate::` disambiguates the local module from the `metrics` registry
 // crate the runtime instrumentation lives in.
 pub use crate::metrics::Comparison;
-pub use parallel::{
-    parallel_supported, run_feeds_par, run_feeds_par_with, run_traces_par, run_traces_par_with,
-    IntraOptions,
-};
 pub use run::{
     run_duplicated, run_feeds, run_feeds_with, run_traces, run_traces_with, CoreFeed, CoreTrace,
     RunResult,

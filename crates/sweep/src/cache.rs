@@ -239,4 +239,34 @@ mod tests {
         assert!(cache.lookup("some-other-key", hash).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn entry_with_legacy_manifest_field_is_still_a_hit() {
+        let dir = std::env::temp_dir().join(format!("sweep-cache-legacy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = tiny_spec();
+        let key = spec.canonical_key();
+        let hash = spec.content_hash();
+        let r = spec.simulate();
+        // An entry as older builds wrote it: the embedded manifest still
+        // carries the retired `sequential_fallback` flag.
+        let mut manifest = spec.manifest().to_json();
+        manifest.set("sequential_fallback", false.into());
+        let doc = json!({
+            "schema": CACHE_SCHEMA,
+            "key": key.as_str(),
+            "result": r.to_json(),
+            "manifest": manifest,
+        });
+        let file = dir.join(CACHE_VERSION).join(format!("{hash:016x}.json"));
+        std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+        std::fs::write(&file, doc.pretty()).unwrap();
+        let cache = ResultCache::with_disk(dir.clone());
+        let back = cache
+            .lookup(&key, hash)
+            .expect("legacy entry is a disk hit");
+        assert_eq!(cache.counters.disk_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(back.to_json().pretty(), r.to_json().pretty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -1,6 +1,5 @@
-//! Re-export shim: the worker pool moved to the standalone `pool` crate so
-//! the simulator's intra-run parallel scheduler (`sim::parallel`) can share
-//! it without a dependency cycle (`sweep` depends on `sim`). Every
-//! historical `sweep::pool::*` path keeps working through this module.
+//! Re-export shim: the worker pool lives in the standalone `pool` crate and
+//! now serves only the sweep engine. Every historical `sweep::pool::*` path
+//! keeps working through this module.
 
 pub use ::pool::{run_ordered, PoolError};
