@@ -8,6 +8,14 @@
 //! float accumulation order, interleaving, or counter bookkeeping fails
 //! here before it can silently skew a figure.
 //!
+//! A second set of cells (`fill_*`) pins the memory-fill path: LLC
+//! victims and their back-invalidation into the private levels, under
+//! configurations the main matrix never reaches — cores sharing blocks,
+//! the hybrid policy, the stride prefetcher, and more cores than the LLC
+//! keeps sharer bits for. They run on a shrunken L3/LLC so the LLC
+//! evicts, and charge every accounting option so the invalidation-probe
+//! energy is pinned too.
+//!
 //! Regenerate (only when an *intentional* semantic change is made, with a
 //! PR note explaining why):
 //!
@@ -15,9 +23,11 @@
 //! REGEN_GOLDEN=1 cargo test --test golden_diff
 //! ```
 
+use cache_sim::InclusionPolicy;
 use energy_model::presets::demo_scale;
 use mem_trace::synth::{PointerChase, Region, SequentialStream, ZipfOverRecords};
 use minijson::ToJson;
+use prefetch::StrideConfig;
 use sim::{run_traces, CoreTrace, Mechanism, SimConfig};
 use std::path::PathBuf;
 
@@ -77,10 +87,86 @@ fn golden_config(mechanism: Mechanism) -> SimConfig {
 fn run_one(workload: &str, mechanism: Mechanism) -> String {
     let cfg = golden_config(mechanism);
     let traces = (0..CORES).map(|c| trace(workload, c)).collect();
-    let result = run_traces(&cfg, traces);
+    snapshot(&cfg, traces)
+}
+
+fn snapshot(cfg: &SimConfig, traces: Vec<CoreTrace>) -> String {
+    let result = run_traces(cfg, traces);
     let mut text = result.to_json().pretty();
     text.push('\n');
     text
+}
+
+/// Variants of the fill-path cells (see [`fill_config`]).
+const FILL_VARIANTS: [&str; 4] = ["shared", "hybrid", "prefetch", "cores10"];
+const FILL_MECHANISMS: [Mechanism; 2] = [Mechanism::Base, Mechanism::Redhip];
+
+/// The golden configuration on an L3/LLC small enough (256 KB / 512 KB)
+/// that the traces' footprints keep the LLC evicting, with every energy
+/// accounting option charged, specialised per fill-path variant.
+fn fill_config(variant: &str, mechanism: Mechanism) -> SimConfig {
+    let mut cfg = golden_config(mechanism);
+    let levels = &mut cfg.platform.levels;
+    levels[2].capacity_bytes = 256 << 10;
+    levels[3].capacity_bytes = 512 << 10;
+    cfg.accounting.charge_fills = true;
+    cfg.accounting.charge_writebacks = true;
+    cfg.accounting.charge_invalidation_probes = true;
+    match variant {
+        // One address space: a block can sit in several cores' private
+        // levels when the LLC evicts it.
+        "shared" => cfg.address_space_bit = 0,
+        "hybrid" => cfg.policy = InclusionPolicy::Hybrid,
+        "prefetch" => cfg.prefetch = Some(StrideConfig::default()),
+        // More cores than sharer bits: cores 8 and 9 alias onto 0 and 1.
+        "cores10" => cfg.platform.cores = 10,
+        other => panic!("unknown fill variant {other}"),
+    }
+    cfg
+}
+
+/// The trace of `core` in a fill-path variant: `zipf`, except for the
+/// prefetch cells, which stream one block per reference (`stream`
+/// without its repeats) because the stride prefetcher issues nothing on
+/// Zipf-random addresses. In the `shared` variant the
+/// addresses are pre-compensated for the simulator's per-core page
+/// scramble (`sim::run`'s physical mapping XORs the page number with
+/// `core * 0x9e37_79b9`, 26 bits), so that under `address_space_bit = 0`
+/// every core's records land on the same physical blocks.
+fn fill_trace(variant: &str, core: usize) -> CoreTrace {
+    match variant {
+        "prefetch" => Box::new(SequentialStream::new(
+            Region::new(0x1000_0000, 4 << 20),
+            64,
+            0x400,
+            7,
+            2,
+        )),
+        "shared" => {
+            let scramble = ((core as u64).wrapping_mul(0x9e37_79b9) & 0x03ff_ffff) << 12;
+            Box::new(trace("zipf", core).map(move |mut rec| {
+                rec.addr ^= scramble;
+                rec
+            }))
+        }
+        _ => trace("zipf", core),
+    }
+}
+
+fn run_fill(variant: &str, mechanism: Mechanism) -> String {
+    let cfg = fill_config(variant, mechanism);
+    let traces = (0..cfg.platform.cores)
+        .map(|c| fill_trace(variant, c))
+        .collect();
+    snapshot(&cfg, traces)
+}
+
+fn fill_cells() -> impl Iterator<Item = (&'static str, Mechanism, String)> {
+    FILL_VARIANTS.into_iter().flat_map(|v| {
+        FILL_MECHANISMS
+            .into_iter()
+            .map(move |m| (v, m, format!("fill_{v}_{}.json", m.name())))
+    })
 }
 
 fn golden_dir() -> PathBuf {
@@ -134,6 +220,65 @@ fn golden_run_results_are_reproduced_byte_identically() {
                 "golden mismatch for {name}: {}",
                 first_diff(&want, &got)
             );
+        }
+    }
+}
+
+#[test]
+fn fill_path_goldens_are_reproduced_byte_identically() {
+    let regen = std::env::var_os("REGEN_GOLDEN").is_some();
+    let dir = golden_dir();
+    for (variant, mechanism, name) in fill_cells() {
+        let path = dir.join(&name);
+        let got = run_fill(variant, mechanism);
+        if regen {
+            std::fs::write(&path, &got).expect("write golden");
+            eprintln!("regenerated {name}");
+            continue;
+        }
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!("missing golden {name} ({e}); run REGEN_GOLDEN=1 cargo test --test golden_diff")
+        });
+        assert!(
+            want == got,
+            "golden mismatch for {name}: {}",
+            first_diff(&want, &got)
+        );
+    }
+}
+
+/// The fill-path snapshots must actually exercise what they pin: LLC
+/// evictions that back-invalidate private copies, and (for the prefetch
+/// cells) prefetch fills.
+#[test]
+fn fill_path_goldens_evict_and_back_invalidate() {
+    for (variant, mechanism, name) in fill_cells() {
+        let text = std::fs::read_to_string(golden_dir().join(&name))
+            .unwrap_or_else(|e| panic!("missing golden {name}: {e}"));
+        let doc = minijson::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let cores = fill_config(variant, mechanism).platform.cores;
+        let refs: u64 = doc
+            .arr_of("refs_per_core")
+            .unwrap()
+            .iter()
+            .map(|v| v.as_u64().unwrap())
+            .sum();
+        assert_eq!(refs, (cores * REFS_PER_CORE) as u64, "{name}: truncated");
+        let levels = doc.get("hierarchy").unwrap().arr_of("levels").unwrap();
+        let llc_evictions = levels[3].u64_of("evictions").unwrap();
+        assert!(llc_evictions > 0, "{name}: the LLC never evicted");
+        let back_invalidated: u64 = levels[..3]
+            .iter()
+            .map(|l| l.u64_of("invalidations").unwrap())
+            .sum();
+        assert!(back_invalidated > 0, "{name}: no private copy invalidated");
+        if variant == "prefetch" {
+            let fills = doc.get("prefetch").unwrap().u64_of("fills").unwrap();
+            assert!(fills > 0, "{name}: no prefetch fill");
+        }
+        if mechanism == Mechanism::Redhip {
+            let p = doc.get("prediction").unwrap();
+            assert!(p.u64_of("bypasses").unwrap() > 0, "{name}: no bypass");
         }
     }
 }
