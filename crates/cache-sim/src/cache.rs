@@ -6,7 +6,10 @@ use crate::replacement::ReplacerState;
 
 const ENTRY_VALID: u64 = 1;
 const ENTRY_DIRTY: u64 = 1 << 1;
-const ENTRY_TAG_SHIFT: u32 = 2;
+/// First bit of the sharer field; the tag sits above the field.
+const ENTRY_SHARERS_SHIFT: u32 = 2;
+/// Widest sharer field, the width of the `u8` masks the API passes.
+const MAX_SHARER_BITS: u32 = 8;
 
 /// Mask selecting the low `assoc` bits of a per-set validity word.
 #[inline]
@@ -50,12 +53,25 @@ pub struct Evicted {
 /// (see `sim`), which keeps this hot path minimal.
 ///
 /// Tag and metadata live in one contiguous word array — entry layout
-/// `tag << 2 | dirty << 1 | valid` — so the way-scan on every access is a
-/// single load, mask, and compare per way over one cache-resident stripe.
+/// `tag << (2 + W) | sharers << 2 | dirty << 1 | valid` — so the way-scan
+/// on every access is a single load, mask, and compare per way over one
+/// cache-resident stripe.
+///
+/// The `W`-bit sharer field is spare room a shared cache uses to record
+/// which cores may hold the line above it (see
+/// [`Cache::fill_with_sharers`]); private caches leave it zero. A block
+/// address has at most `64 - block_bits` bits, so its tag has at most
+/// `64 - block_bits - set_bits`, and the word has room for
+/// `W = block_bits + set_bits - 2` sharer bits beside the two flags:
+/// `W = min(8, 4 + set_bits)` for 64-byte blocks, 8 from 16 sets up.
 #[derive(Debug, Clone)]
 pub struct Cache {
     geom: BlockGeometry,
     assoc: usize,
+    /// `2 + W`: where the tag starts in an entry word (`W` in 1..=8).
+    tag_shift: u32,
+    /// Clears the dirty bit and the sharer field, leaving `tag | valid`.
+    match_mask: u64,
     entries: Vec<u64>,
     /// Per-set validity bitmask (bit `w` ⇔ way `w` valid), mirroring the
     /// valid bits in `entries`. Fills pick an invalid way from it in one
@@ -95,9 +111,15 @@ impl Cache {
         let mut valid = vec![0; geom.sets() as usize];
         prefault(&mut entries);
         prefault(&mut valid);
+        let sharer_bits = (geom.block_bits + geom.set_bits)
+            .saturating_sub(ENTRY_SHARERS_SHIFT)
+            .clamp(1, MAX_SHARER_BITS);
+        let sharer_field = ((1u64 << sharer_bits) - 1) << ENTRY_SHARERS_SHIFT;
         Self {
             geom,
             assoc: config.assoc,
+            tag_shift: ENTRY_SHARERS_SHIFT + sharer_bits,
+            match_mask: !(ENTRY_DIRTY | sharer_field),
             entries,
             valid,
             repl: ReplacerState::new(config.policy, geom.sets() as usize, config.assoc),
@@ -120,6 +142,12 @@ impl Cache {
         self.geom.sets()
     }
 
+    /// Width `W` of the per-line sharer field: a sharer mask has bits
+    /// `0..W`.
+    pub fn sharer_width(&self) -> u32 {
+        self.tag_shift - ENTRY_SHARERS_SHIFT
+    }
+
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> u64 {
         self.live_lines
@@ -134,18 +162,20 @@ impl Cache {
     #[inline]
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.assoc;
-        // Masking out the dirty bit leaves `tag | valid`: one compare
-        // answers "valid and tag matches" per way. The scan visits only
-        // the valid ways — a lookup in an empty set (the common case deep
-        // in a large, lightly loaded level) is a single mask load.
-        let want = (tag << ENTRY_TAG_SHIFT) | ENTRY_VALID;
+        // Masking out the dirty bit and the sharer field leaves
+        // `tag | valid`: one compare answers "valid and tag matches" per
+        // way. The scan visits only the valid ways — a lookup in an empty
+        // set (the common case deep in a large, lightly loaded level) is a
+        // single mask load.
+        let want = (tag << self.tag_shift) | ENTRY_VALID;
+        let keep = self.match_mask;
         let mut m = self.valid[set];
         if m == way_mask(self.assoc) {
             // Full set — the steady state of a hot upper level, and the
             // case the L1-hit fast path takes on nearly every reference.
             // A straight scan beats per-way bit extraction here.
             for w in 0..self.assoc {
-                if self.entries[base + w] & !ENTRY_DIRTY == want {
+                if self.entries[base + w] & keep == want {
                     return Some(w);
                 }
             }
@@ -153,7 +183,7 @@ impl Cache {
         }
         while m != 0 {
             let w = m.trailing_zeros() as usize;
-            if self.entries[base + w] & !ENTRY_DIRTY == want {
+            if self.entries[base + w] & keep == want {
                 return Some(w);
             }
             m &= m - 1;
@@ -217,7 +247,22 @@ impl Cache {
 
     /// Inserts `block`, evicting a victim if the set is full. The block must
     /// not already be resident (enforced in debug builds).
+    #[inline]
     pub fn fill(&mut self, block: u64, dirty: bool) -> Option<Evicted> {
+        self.fill_line(block, dirty, 0).map(|(v, _)| v)
+    }
+
+    /// Inserts a clean `block` whose sharer field starts as `sharers`
+    /// (bits `0..W`, see [`Cache::sharer_width`]), evicting a victim if
+    /// the set is full. Reports the victim with its sharer mask. The block
+    /// must not already be resident (enforced in debug builds).
+    #[inline]
+    pub fn fill_with_sharers(&mut self, block: u64, sharers: u8) -> Option<(Evicted, u8)> {
+        self.fill_line(block, false, sharers)
+    }
+
+    #[inline]
+    fn fill_line(&mut self, block: u64, dirty: bool, sharers: u8) -> Option<(Evicted, u8)> {
         let set = self.geom.set_of(block) as usize;
         let tag = self.geom.tag_of(block);
         debug_assert!(
@@ -225,8 +270,13 @@ impl Cache {
             "fill of already-resident block {block:#x}"
         );
         debug_assert!(
-            tag.leading_zeros() >= ENTRY_TAG_SHIFT,
-            "tag {tag:#x} does not leave room for the entry flag bits"
+            tag.leading_zeros() >= self.tag_shift,
+            "tag {tag:#x} does not leave room for the entry metadata bits"
+        );
+        debug_assert!(
+            u32::from(sharers) >> self.sharer_width() == 0,
+            "sharer mask {sharers:#x} wider than the {}-bit field",
+            self.sharer_width()
         );
         let base = set * self.assoc;
         // Prefer the lowest invalid way (one bit-scan of the set's mask).
@@ -239,19 +289,50 @@ impl Cache {
                 let evicted = Evicted {
                     block: self
                         .geom
-                        .block_from_parts(old >> ENTRY_TAG_SHIFT, set as u64),
+                        .block_from_parts(old >> self.tag_shift, set as u64),
                     dirty: old & ENTRY_DIRTY != 0,
                 };
                 self.live_lines -= 1;
-                (w, Some(evicted))
+                (w, Some((evicted, self.sharers_of(old))))
             }
         };
-        self.entries[base + way] =
-            (tag << ENTRY_TAG_SHIFT) | ENTRY_VALID | if dirty { ENTRY_DIRTY } else { 0 };
+        self.entries[base + way] = (tag << self.tag_shift)
+            | u64::from(sharers) << ENTRY_SHARERS_SHIFT
+            | ENTRY_VALID
+            | if dirty { ENTRY_DIRTY } else { 0 };
         self.valid[set] |= 1 << way;
         self.repl.on_fill(set, way, self.assoc);
         self.live_lines += 1;
         evicted
+    }
+
+    /// The sharer field of an entry word (`!match_mask` selects the field
+    /// and the dirty bit, which the shift drops).
+    #[inline]
+    fn sharers_of(&self, entry: u64) -> u8 {
+        ((entry & !self.match_mask) >> ENTRY_SHARERS_SHIFT) as u8
+    }
+
+    /// ORs `sharers` into the sharer field of a resident `block`. Returns
+    /// false (and changes nothing) when the block is not resident.
+    #[inline]
+    pub fn add_sharers(&mut self, block: u64, sharers: u8) -> bool {
+        debug_assert!(u32::from(sharers) >> self.sharer_width() == 0);
+        let set = self.geom.set_of(block) as usize;
+        match self.find_way(set, self.geom.tag_of(block)) {
+            Some(w) => {
+                self.entries[set * self.assoc + w] |= u64::from(sharers) << ENTRY_SHARERS_SHIFT;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The sharer mask of `block`, or `None` when it is not resident.
+    pub fn sharers(&self, block: u64) -> Option<u8> {
+        let set = self.geom.set_of(block) as usize;
+        let w = self.find_way(set, self.geom.tag_of(block))?;
+        Some(self.sharers_of(self.entries[set * self.assoc + w]))
     }
 
     /// Removes `block` if resident, reporting its dirtiness. Used both for
@@ -289,7 +370,7 @@ impl Cache {
         self.entries[base..base + self.assoc]
             .iter()
             .filter(|&&e| e & ENTRY_VALID != 0)
-            .map(move |&e| self.geom.block_from_parts(e >> ENTRY_TAG_SHIFT, set))
+            .map(move |&e| self.geom.block_from_parts(e >> self.tag_shift, set))
     }
 
     /// Iterates all resident block addresses (recalibration, diagnostics).
@@ -305,7 +386,7 @@ impl Cache {
                 let base = set * self.assoc;
                 BitIter(mask).map(move |w| {
                     self.geom
-                        .block_from_parts(self.entries[base + w] >> ENTRY_TAG_SHIFT, set as u64)
+                        .block_from_parts(self.entries[base + w] >> self.tag_shift, set as u64)
                 })
             })
     }
@@ -451,6 +532,56 @@ mod tests {
             }
         }
         assert!(c.occupancy() <= 16);
+    }
+
+    #[test]
+    fn sharer_field_width_leaves_room_for_any_58_bit_block() {
+        for (sets, width) in [(1u64, 4), (2, 5), (8, 7), (16, 8), (8192, 8)] {
+            let c = Cache::new(CacheConfig::lru(sets * 2 * 64, 2, 64));
+            assert_eq!(c.sharer_width(), width, "{sets} sets");
+        }
+        // The widest block a 64-byte-block trace address can produce, in a
+        // one-set cache (the widest tag), with every sharer bit set.
+        let mut c = Cache::new(CacheConfig::lru(128, 2, 64));
+        let top = (1u64 << 58) - 1;
+        assert_eq!(c.fill_with_sharers(top, 0xf), None);
+        assert_eq!(c.sharers(top), Some(0xf));
+        assert!(c.probe(top) && !c.probe(top >> 1) && !c.probe(top & !(1 << 57)));
+        assert_eq!(c.resident_blocks().collect::<Vec<_>>(), vec![top]);
+        c.access(top, true);
+        assert_eq!(
+            c.invalidate(top),
+            Some(Evicted {
+                block: top,
+                dirty: true
+            })
+        );
+    }
+
+    #[test]
+    fn fill_reports_the_victims_sharers_and_add_sharers_ors_bits() {
+        let mut c = small_cache();
+        assert!(!c.add_sharers(blk(1, 0), 1), "absent block");
+        assert_eq!(c.sharers(blk(1, 0)), None);
+        c.fill_with_sharers(blk(1, 0), 0b001);
+        assert!(c.add_sharers(blk(1, 0), 0b100));
+        assert_eq!(c.sharers(blk(1, 0)), Some(0b101));
+        // Sharer bits are metadata: lookups and dirtiness ignore them.
+        assert!(c.access(blk(1, 0), true));
+        assert_eq!(c.sharers(blk(1, 0)), Some(0b101));
+        c.fill(blk(2, 0), false);
+        assert_eq!(c.sharers(blk(2, 0)), Some(0));
+        c.access(blk(2, 0), false); // tag 1 is LRU
+        let (ev, sharers) = c.fill_with_sharers(blk(3, 0), 0b010).unwrap();
+        assert_eq!(
+            ev,
+            Evicted {
+                block: blk(1, 0),
+                dirty: true
+            }
+        );
+        assert_eq!(sharers, 0b101);
+        assert_eq!(c.sharers(blk(3, 0)), Some(0b010));
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! multi-table configuration may skip individual levels). All inclusion
 //! bookkeeping (back-invalidation, victim cascading, writeback folding)
 //! happens here so the invariants hold no matter what the mechanism does.
+//!
+//! Under the Inclusive and Hybrid policies every shared-LLC line carries a
+//! sharer mask (see [`Cache::fill_with_sharers`]): bit `c % W` is set
+//! whenever core `c` installs the line into its private levels, and is
+//! only cleared when the line leaves the LLC. The mask is therefore a
+//! superset of the cores holding the block above the LLC, and an LLC
+//! victim's back-invalidation visits only the cores it flags. Visiting a
+//! core that no longer holds the block is a no-op, so the result is the
+//! same as sweeping every core.
 
 use crate::cache::{Cache, Evicted};
 use crate::config::CacheConfig;
@@ -144,6 +153,12 @@ impl DeepHierarchy {
         core * (self.levels as usize - 1) + level as usize
     }
 
+    /// The LLC sharer bit of `core`: bit `core % W` of the mask.
+    #[inline]
+    fn sharer_bit(&self, core: usize) -> u8 {
+        1 << (core % self.shared.sharer_width() as usize)
+    }
+
     /// Read access to a private cache (multi-table recalibration).
     pub fn private_cache(&self, core: usize, level: LevelId) -> &Cache {
         &self.private[self.pidx(core, level)]
@@ -258,6 +273,10 @@ impl DeepHierarchy {
         debug_assert!(hit_level > 0, "L1 hits need no promotion");
         match self.policy {
             InclusionPolicy::Inclusive => {
+                if hit_level == self.llc_level() {
+                    let ok = self.shared.add_sharers(block, self.sharer_bit(core));
+                    debug_assert!(ok, "promote: block vanished from the LLC");
+                }
                 // Install into every level above the hit, top of the fill
                 // order being the level just above the hit.
                 for lvl in (0..hit_level).rev() {
@@ -276,6 +295,8 @@ impl DeepHierarchy {
             InclusionPolicy::Hybrid => {
                 if hit_level == self.llc_level() {
                     // LLC is inclusive: copy up, leave the LLC line resident.
+                    let ok = self.shared.add_sharers(block, self.sharer_bit(core));
+                    debug_assert!(ok, "hybrid promote: block vanished from the LLC");
                     self.insert_top_exclusive(core, block, is_store, self.levels - 1, t);
                 } else {
                     let ev = self
@@ -299,7 +320,7 @@ impl DeepHierarchy {
     pub fn fill_from_memory(&mut self, core: usize, block: u64, is_store: bool, t: &mut Traversal) {
         match self.policy {
             InclusionPolicy::Inclusive => {
-                self.fill_llc_inclusive(block, t);
+                self.fill_llc_inclusive(core, block, t);
                 for lvl in (0..self.levels - 1).rev() {
                     let dirty = lvl == 0 && is_store;
                     self.fill_private_inclusive(core, lvl, block, dirty, t);
@@ -309,34 +330,45 @@ impl DeepHierarchy {
                 self.insert_top_exclusive(core, block, is_store, self.levels, t);
             }
             InclusionPolicy::Hybrid => {
-                self.fill_llc_inclusive(block, t);
+                self.fill_llc_inclusive(core, block, t);
                 self.insert_top_exclusive(core, block, is_store, self.levels - 1, t);
             }
         }
     }
 
-    /// Installs `block` into the (inclusive) shared LLC, handling victim
-    /// back-invalidation across all cores.
-    fn fill_llc_inclusive(&mut self, block: u64, t: &mut Traversal) {
+    /// Installs `block` into the (inclusive) shared LLC on behalf of
+    /// `core`, which becomes the line's first sharer, and back-invalidates
+    /// the victim's upper copies.
+    fn fill_llc_inclusive(&mut self, core: usize, block: u64, t: &mut Traversal) {
         let llc = self.llc_level();
-        let evicted = self.shared.fill(block, false);
+        let evicted = self.shared.fill_with_sharers(block, self.sharer_bit(core));
         t.fills.push(llc);
         t.inserted.push((llc, block));
-        if let Some(v) = evicted {
+        if let Some((v, sharers)) = evicted {
             self.stats.count_eviction(llc);
             t.removed.push((llc, v.block));
             let mut dirty = v.dirty;
-            // Inclusion: purge every upper copy in every core.
-            for core in 0..self.cores {
-                for lvl in 0..(self.levels - 1) {
-                    t.probes.push(lvl);
-                    let i = self.pidx(core, lvl);
-                    if let Some(up) = self.private[i].invalidate(v.block) {
-                        self.stats.count_invalidation(lvl);
-                        t.removed.push((lvl, v.block));
-                        dirty |= up.dirty;
+            // Inclusion: purge every upper copy. The modelled hardware
+            // broadcasts the probe to every core's private levels...
+            for p in &mut t.probes[..llc as usize] {
+                *p += self.cores as u32;
+            }
+            // ...while the simulator visits only the cores the victim's
+            // sharer mask flags, in ascending (core, level) order.
+            let width = self.shared.sharer_width() as usize;
+            let mut bit = 0;
+            for c in 0..self.cores {
+                if sharers & (1 << bit) != 0 {
+                    for lvl in 0..llc {
+                        let i = self.pidx(c, lvl);
+                        if let Some(up) = self.private[i].invalidate(v.block) {
+                            self.stats.count_invalidation(lvl);
+                            t.removed.push((lvl, v.block));
+                            dirty |= up.dirty;
+                        }
                     }
                 }
+                bit = if bit + 1 == width { 0 } else { bit + 1 };
             }
             if dirty {
                 t.writebacks.push(MEMORY);
@@ -364,7 +396,7 @@ impl DeepHierarchy {
             t.removed.push((lvl, v.block));
             let mut wb_dirty = v.dirty;
             for up in 0..lvl {
-                t.probes.push(up);
+                t.probes[up as usize] += 1;
                 let i = self.pidx(core, up);
                 if let Some(e) = self.private[i].invalidate(v.block) {
                     self.stats.count_invalidation(up);
@@ -481,8 +513,8 @@ impl DeepHierarchy {
             InclusionPolicy::Inclusive,
             "prefetching is modelled for the inclusive hierarchy only"
         );
-        if !self.shared.probe(block) {
-            self.fill_llc_inclusive(block, t);
+        if !self.shared.add_sharers(block, self.sharer_bit(core)) {
+            self.fill_llc_inclusive(core, block, t);
         }
         let mut lvl = self.levels - 2;
         loop {
@@ -498,9 +530,27 @@ impl DeepHierarchy {
 
     // ----- Invariant checks (tests / debugging) --------------------------
 
-    /// Verifies the inclusion invariant appropriate to the policy. O(cache
+    /// Verifies the inclusion invariant appropriate to the policy — and,
+    /// under Inclusive and Hybrid, that every block resident in core `c`'s
+    /// private levels has sharer bit `c % W` set on its LLC line. O(cache
     /// size); intended for tests.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.policy != InclusionPolicy::Exclusive {
+            for core in 0..self.cores {
+                let bit = self.sharer_bit(core);
+                for lvl in 0..self.llc_level() {
+                    for b in self.private[self.pidx(core, lvl)].resident_blocks() {
+                        if self.shared.sharers(b).is_some_and(|m| m & bit == 0) {
+                            return Err(format!(
+                                "{:?}: core {core} L{} block {b:#x} lacks its LLC sharer bit {bit:#x}",
+                                self.policy,
+                                lvl + 1
+                            ));
+                        }
+                    }
+                }
+            }
+        }
         match self.policy {
             InclusionPolicy::Inclusive => {
                 for core in 0..self.cores {
@@ -855,6 +905,76 @@ mod tests {
         let mut h = DeepHierarchy::new(&tiny_config(InclusionPolicy::Exclusive));
         let mut t = Traversal::new();
         h.prefetch_fill(0, 1, 0x80, &mut t);
+    }
+
+    /// Random mixes of the operations that install a block above the LLC
+    /// — demand walks (`fill_from_memory` and `promote`), direct memory
+    /// fills as a bypass issues them, and prefetch fills — with every core
+    /// drawing from one small shared block universe, on more cores than
+    /// the LLC has sharer bits (the tiny LLC has 8 sets, so `W = 7`).
+    /// The invariants, sharer bits included, are checked after every
+    /// operation.
+    #[test]
+    fn sharer_masks_cover_every_private_copy() {
+        for policy in [InclusionPolicy::Inclusive, InclusionPolicy::Hybrid] {
+            for cores in [3, 10] {
+                let mut cfg = tiny_config(policy);
+                cfg.cores = cores;
+                let mut h = DeepHierarchy::new(&cfg);
+                assert_eq!(h.llc().sharer_width(), 7);
+                let mut t = Traversal::new();
+                let mut x = 0x5eed_0000u64 + cores as u64;
+                for i in 0..4000u64 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let core = (x % cores as u64) as usize;
+                    let block = (x >> 8) % 67;
+                    let store = (x >> 16).is_multiple_of(5);
+                    match (x >> 24) % 3 {
+                        1 if !h.llc().probe(block) => {
+                            t.clear();
+                            h.fill_from_memory(core, block, store, &mut t);
+                        }
+                        2 if policy == InclusionPolicy::Inclusive => {
+                            t.clear();
+                            let up_to = ((x >> 32) % 3) as LevelId;
+                            h.prefetch_fill(core, up_to, block, &mut t);
+                        }
+                        _ => demand(&mut h, core, block, store, &mut t),
+                    }
+                    h.check_invariants()
+                        .unwrap_or_else(|e| panic!("{policy:?}, {cores} cores, op {i}: {e}"));
+                }
+                let invalidations: u64 = h.stats().levels.iter().map(|l| l.invalidations).sum();
+                assert!(invalidations > 0, "{policy:?}: no back-invalidation");
+            }
+        }
+    }
+
+    #[test]
+    fn llc_victim_back_invalidates_every_sharer_and_charges_a_broadcast() {
+        let mut h = DeepHierarchy::new(&tiny_config(InclusionPolicy::Inclusive));
+        let mut t = Traversal::new();
+        // Both cores hold block 0; four more LLC-set-0 blocks from core 0
+        // evict it from the 4-way LLC set.
+        demand(&mut h, 0, 0, false, &mut t);
+        demand(&mut h, 1, 0, true, &mut t);
+        assert_eq!(h.llc().sharers(0), Some(0b11));
+        for b in 1..=4u64 {
+            demand(&mut h, 0, b * 8, false, &mut t);
+            if t.removed.contains(&(3, 0)) {
+                break;
+            }
+        }
+        assert!(t.removed.contains(&(3, 0)), "block 0 left the LLC");
+        assert!(!h.resident_anywhere(0, 0) && !h.resident_anywhere(1, 0));
+        assert!(t.writebacks.contains(&MEMORY), "core 1's dirty copy");
+        // Modelled probes: the LLC victim is probed for at every private
+        // level of both cores, whatever the simulator visited (2 each);
+        // the L3 victim the same fill displaced adds one at L1 and L2.
+        assert_eq!(&t.probes[..3], &[3, 3, 2]);
+        h.check_invariants().unwrap();
     }
 
     #[test]

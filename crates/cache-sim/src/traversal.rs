@@ -22,8 +22,8 @@ pub const MEMORY: LevelId = u8::MAX;
 
 /// Capacity of the per-level-bounded event lists: one entry per level of
 /// the deepest supported hierarchy (`DeepHierarchy::new` asserts ≤ 8
-/// levels). Lists that can grow with the core count (`removed`, `probes`)
-/// stay heap-backed.
+/// levels). `removed`, which can grow with the core count, stays
+/// heap-backed.
 pub const MAX_LEVELS: usize = 8;
 
 /// Event log of a single hierarchy operation.
@@ -45,12 +45,16 @@ pub struct Traversal {
     /// Blocks installed into a level.
     pub inserted: InlineVec<(LevelId, u64), MAX_LEVELS>,
     /// Blocks displaced from a level (replacement victim, back-invalidation,
-    /// or exclusive move-up extraction). Back-invalidation sweeps every
-    /// core, so this is unbounded by the level count.
+    /// or exclusive move-up extraction). Back-invalidation can remove an
+    /// LLC victim from several cores, so this is unbounded by the level
+    /// count.
     pub removed: Vec<(LevelId, u64)>,
-    /// Tag-array probes performed for back-invalidation (inclusive
-    /// victims), one entry per probed level — every core, so heap-backed.
-    pub probes: Vec<LevelId>,
+    /// Tag-array probes the model charges for back-invalidation
+    /// (inclusive victims), counted per level (index = [`LevelId`]). An
+    /// LLC victim adds one probe at every private level of every core — a
+    /// broadcast, whichever cores the simulator actually visits — and a
+    /// private victim adds one at each level above it in its own core.
+    pub probes: [u32; MAX_LEVELS],
 }
 
 impl Traversal {
@@ -67,7 +71,7 @@ impl Traversal {
         self.hit_level = None;
         self.inserted.clear();
         self.removed.clear();
-        self.probes.clear();
+        self.probes = [0; MAX_LEVELS];
     }
 
     /// Blocks inserted into `level` during this operation.
@@ -235,12 +239,12 @@ mod tests {
         let mut t = Traversal::new();
         t.lookups.push((0, true));
         t.inserted.push((1, 42));
-        t.probes.push(2);
+        t.probes[2] += 3;
         t.hit_level = Some(0);
         t.clear();
         assert!(t.lookups.is_empty());
         assert!(t.inserted.is_empty());
-        assert!(t.probes.is_empty());
+        assert_eq!(t.probes, [0; MAX_LEVELS]);
         assert_eq!(t.hit_level, None);
     }
 

@@ -296,7 +296,10 @@ pub static TRACE_CHUNKS_DECODED: Counter = Counter::new("trace.chunks_decoded");
 /// Feed refills that stalled on decoding at least one new chunk.
 pub static TRACE_REFILL_STALLS: Counter = Counter::new("trace.refill_stalls");
 
-/// Registry-predictor probes (one per L1 miss of a custom mechanism).
+/// Predictor lookups: each run adds its `PredictionStats::lookups` once,
+/// when it ends (`sim::run_feeds_with`) — one per L1 miss of every
+/// predicting mechanism (ReDHiP, CBF, Oracle and the registry ones), plus
+/// one per L1 hit a WayMemo memo is consulted on.
 pub static PRED_PROBES: Counter = Counter::new("pred.probes");
 /// Probes that produced a confident steer (level or off-chip).
 pub static PRED_STEERED: Counter = Counter::new("pred.steered");

@@ -309,6 +309,7 @@ pub fn run_feeds_with<O: SimObserver>(
         prediction: system.prediction_stats(),
         prefetch: system.prefetch_summary(),
     };
+    metrics::PRED_PROBES.add(result.prediction.lookups);
     (result, system.into_observer())
 }
 

@@ -419,7 +419,6 @@ impl<O: SimObserver> System<O> {
             unreachable!("registry mechanisms always instantiate a custom predictor")
         };
         self.pred_stats.lookups += 1;
-        metrics::PRED_PROBES.incr();
         if self.cfg.count_prediction_overhead {
             // Equal-area comparison: the contender's probe is charged at
             // the prediction table's access energy and latency.
@@ -744,11 +743,18 @@ impl<O: SimObserver> System<O> {
             }
         }
         if acc.charge_invalidation_probes {
-            for &lvl in &t.probes {
-                let spec = &self.cfg.platform.levels[lvl as usize];
+            for (lvl, &n) in t.probes.iter().enumerate() {
+                if n == 0 {
+                    continue;
+                }
                 // Tag-only probe; L1/L2 fold tag energy into data, so use
                 // the explicit tag component (0 for them, per the model).
-                self.energy.add_level(lvl as usize, spec.tag_energy_nj);
+                // One add per probe: each level's accumulator sees the
+                // same sequence of f64 additions as a per-probe list.
+                let nj = self.cfg.platform.levels[lvl].tag_energy_nj;
+                for _ in 0..n {
+                    self.energy.add_level(lvl, nj);
+                }
             }
         }
         if t.hit_level.is_none() && !t.fills.is_empty() {
